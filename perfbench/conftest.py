@@ -1,0 +1,8 @@
+"""Put ``src`` and this directory on the path for the benchmark's tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE))
