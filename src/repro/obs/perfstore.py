@@ -9,8 +9,10 @@ scrolls by in a CI log.  ``python -m repro perf check`` then compares
 each series' newest entry against its best prior entry and exits
 nonzero when the regression exceeds a tolerance — the CI budget gate.
 
-Every series is *lower-is-better* (seconds, overhead fractions).  The
-store keeps no timestamps of its own: entries carry only the measured
+A series is *lower-is-better* (seconds, overhead fractions) unless its
+unit is a rate (:data:`HIGHER_IS_BETTER_UNITS`, e.g. sessions per
+second), which is higher-is-better.  The store keeps no timestamps of
+its own: entries carry only the measured
 value, a unit, and caller-supplied ``meta`` (host cores, trial counts),
 so writing an entry never reads a clock and the file diffs cleanly.
 
@@ -37,6 +39,16 @@ PERFSTORE_VERSION = 1
 #: Default regression tolerance: latest may exceed the best prior entry
 #: by this fraction before the budget check fails.
 DEFAULT_TOLERANCE = 0.25
+
+#: Units of throughput series: their best entry is the largest, and a
+#: rate regresses when the best prior rate exceeds it by the tolerance.
+HIGHER_IS_BETTER_UNITS = frozenset({"1/s"})
+
+
+def _best(entries: List["PerfEntry"]) -> float:
+    values = [e.value for e in entries]
+    higher = entries[-1].unit in HIGHER_IS_BETTER_UNITS
+    return max(values) if higher else min(values)
 
 
 @dataclass(frozen=True)
@@ -126,15 +138,18 @@ class PerfStore:
                                baseline=None, tolerance=tolerance,
                                message="no entries")
         latest = history[-1].value
-        prior = [e.value for e in history[:-1]]
-        if not prior:
+        if len(history) < 2:
             return BudgetCheck(name=name, ok=True, latest=latest,
                                baseline=None, tolerance=tolerance,
                                message="first entry; no baseline yet")
-        baseline = min(prior)
-        budget = baseline * (1.0 + tolerance)
-        ok = latest <= budget
-        ratio = latest / baseline if baseline > 0 else float("inf")
+        baseline = _best(history[:-1])
+        # Compare costs (lower is better): a rate's cost is its
+        # reciprocal, so latest and best swap places in the ratio.
+        cost, best_cost = latest, baseline
+        if history[-1].unit in HIGHER_IS_BETTER_UNITS:
+            cost, best_cost = baseline, latest
+        ok = cost <= best_cost * (1.0 + tolerance)
+        ratio = cost / best_cost if best_cost > 0 else float("inf")
         verdict = "within budget" if ok else "REGRESSION"
         return BudgetCheck(
             name=name, ok=ok, latest=latest, baseline=baseline,
@@ -167,7 +182,7 @@ def _cmd_show(store: PerfStore) -> int:
     for name in names:
         history = store.history(name)
         latest = history[-1]
-        best = min(e.value for e in history)
+        best = _best(history)
         print(f"{name}: {len(history)} entries, "
               f"latest {latest.value:.4g} {latest.unit}, best {best:.4g}")
     return 0

@@ -24,10 +24,11 @@ the item.  That is the signature acceptance property — a chaos-afflicted
 run's journal is **byte-identical** to a serial run's (see
 ``tests/test_parallel_supervisor.py``).
 
-Injection happens in the parent, at submit time, by wrapping the task
-callable for exactly the afflicted ``(index, attempt)`` dispatch.  The
-worker never needs to know which attempt it is running, and unafflicted
-dispatches ship the caller's function untouched.
+Injection happens in the parent, at submit time, by sending an
+:class:`_AfflictedTask` wrapper along with exactly the afflicted
+``(index, attempt)`` dispatch.  The worker never needs to know which
+attempt it is running, and every dispatch, afflicted or not, runs the
+task callable the pool installed once per worker.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from concurrent.futures import Future, ProcessPoolExecutor
-
-from repro.parallel.supervisor import SupervisedExecutor
+from repro.parallel.supervisor import SupervisedExecutor, TaskWrapper
 
 #: Chaos fault kinds (host-level, injected into workers).
 CHAOS_CRASH = "crash"      #: worker process exits hard mid-task
@@ -158,13 +157,16 @@ class _UnpicklableResult:
 
 @dataclass(frozen=True)
 class _AfflictedTask:
-    """Picklable wrapper that detonates one planned fault in the worker."""
+    """Picklable wrapper that detonates one planned fault in the worker.
 
-    fn: Callable[[Any], Any]
+    Carries only the fault; the work itself is the worker's installed
+    task, exactly as on an unafflicted dispatch.
+    """
+
     kind: str
     hang_s: float
 
-    def __call__(self, item: Any) -> Any:
+    def __call__(self, task: Callable[[Any], Any], item: Any) -> Any:
         if self.kind == CHAOS_CRASH:
             # A hard exit, not an exception: simulates the OOM killer /
             # a segfault, which is what breaks a ProcessPoolExecutor.
@@ -172,9 +174,9 @@ class _AfflictedTask:
         if self.kind == CHAOS_HANG:
             time.sleep(self.hang_s)
         if self.kind == CHAOS_CORRUPT:
-            self.fn(item)  # the work happens; only the return is lost
+            task(item)  # the work happens; only the return is lost
             return _UnpicklableResult()
-        return self.fn(item)
+        return task(item)
 
 
 class ChaosExecutor(SupervisedExecutor):
@@ -195,13 +197,12 @@ class ChaosExecutor(SupervisedExecutor):
             )
         self.plan = plan
 
-    def _submit(self, pool: ProcessPoolExecutor, fn: Callable[[Any], Any],
-                item: Any, index: int, attempt: int) -> Future:
+    def _wrapper_for(self, index: int,
+                     attempt: int) -> Optional[TaskWrapper]:
         fault = self.plan.fault_at(index, attempt)
         if fault is None:
-            return pool.submit(fn, item)
-        return pool.submit(
-            _AfflictedTask(fn=fn, kind=fault.kind, hang_s=fault.hang_s), item)
+            return None
+        return _AfflictedTask(kind=fault.kind, hang_s=fault.hang_s)
 
 
 __all__ = [

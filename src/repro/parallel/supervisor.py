@@ -20,6 +20,13 @@ fan-out in a supervision loop that
   raised, which makes an interrupted sweep resume cleanly via the
   journal ``--resume`` path.
 
+A pool receives the task callable once: its initializer installs ``fn``
+in each worker, and every dispatch then carries only the item.  The
+dispatch window is two tasks per worker, so a worker that finishes one
+task starts the next without waiting for the parent's hand-off.  Workers
+flag the task they are running in a small shared array, so a pool break
+charges the tasks it interrupted, not the ones queued behind them.
+
 Determinism is untouched: every trial is a pure function of its task
 item, so re-dispatching a task after a crash reproduces the identical
 result, and the index keying of the :class:`~repro.parallel.Executor`
@@ -46,6 +53,7 @@ pins process fan-out to ``repro.parallel``.
 
 from __future__ import annotations
 
+import multiprocessing
 import signal
 import time
 from collections import deque
@@ -53,6 +61,7 @@ from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -79,6 +88,48 @@ _QUARANTINE_KINDS = frozenset({WORKER_CRASH, TASK_HANG, TASK_ERROR})
 
 #: Exceptions that mean "the pool itself died", not "the task failed".
 _POOL_FAILURES = (BrokenProcessPool, CancelledError)
+_POOL_BROKEN = "worker process died; process pool broken"
+
+#: In-flight tasks per worker: one running, one queued behind it.
+_WINDOW_PER_WORKER = 2
+
+#: Flag a worker holds in its pool's shared per-task array while the
+#: task runs (0 before it starts and after it returns).
+_RUNNING = 1
+
+#: A worker-side wrapper around the installed task (chaos injection).
+TaskWrapper = Callable[[Callable[[Any], Any], Any], Any]
+
+#: Worker-side slots the pool initializer fills (see :func:`_install`).
+_worker_task: Optional[Callable[[Any], Any]] = None
+_worker_flags: Any = None
+
+
+def _install(fn: Callable[[Any], Any], flags: Any) -> None:
+    """Pool initializer: keep the task and the pool's flags in the worker."""
+    global _worker_task, _worker_flags
+    _worker_task, _worker_flags = fn, flags
+
+
+def _dispatch(index: int, item: Any,
+              wrapper: Optional[TaskWrapper] = None) -> Any:
+    """Dispatch trampoline: run the installed task on ``item`` in a worker.
+
+    Flags ``index`` as running for as long as the task runs, so a pool
+    break can tell the tasks it interrupted from those that returned or
+    never started.  ``wrapper`` (chaos injection) receives the installed
+    task and the item.
+    """
+    task = _worker_task
+    if task is None:
+        raise RuntimeError("no task installed in this worker process")
+    _worker_flags[index] = _RUNNING
+    try:
+        return task(item) if wrapper is None else wrapper(task, item)
+    finally:
+        # A task that raised returned too: only a dead worker leaves
+        # its flag set.
+        _worker_flags[index] = 0
 
 
 @dataclass(frozen=True)
@@ -123,10 +174,14 @@ def drop_quarantined(results: Sequence[Any]) -> list:
 
 @dataclass
 class _InFlight:
-    """Bookkeeping for one submitted future."""
+    """Bookkeeping for one submitted future.
+
+    ``deadline`` stays ``None`` until the task joins the started cohort
+    (see :meth:`SupervisedExecutor._arm_deadlines`).
+    """
 
     index: int
-    deadline: Optional[float]
+    deadline: Optional[float] = None
 
 
 class SupervisedExecutor(Executor):
@@ -144,10 +199,23 @@ class SupervisedExecutor(Executor):
     * ``run_tasks`` still yields every index exactly once — a quarantined
       index yields its placeholder.
 
-    The dispatch window is one in-flight task per worker: submitted tasks
-    start (almost) immediately, which keeps the ``task_timeout_s``
-    deadline honest, and bounds the blast radius of a pool break to at
-    most ``max_workers`` re-dispatched tasks.
+    The pool's initializer installs the task callable in each worker
+    once (a rebuilt pool re-installs it); a dispatch ships only the item.
+    The dispatch window is two in-flight tasks per worker.  Workers take
+    tasks in submission order, so the ``workers`` oldest in-flight tasks
+    are the *started cohort* and the rest are queued behind them.  Three
+    rules keep supervision honest under the deeper window:
+
+    * a task's ``task_timeout_s`` clock starts when it joins the started
+      cohort, not when it is submitted;
+    * a pool break charges a fault only to the tasks it interrupted
+      (each worker flags the task it is running in a shared per-pool
+      array), or to the started cohort when none was running; queued or
+      already-returned tasks go back to the front of the queue
+      uncharged, so the blast radius stays at most ``max_workers``
+      charged tasks;
+    * a signal drain waits for the started cohort only; queued tasks are
+      dropped and re-run on ``--resume``.
 
     ``drain_signals=True`` (the default) registers SIGINT/SIGTERM
     handlers for the duration of the run: the first signal stops new
@@ -207,18 +275,29 @@ class SupervisedExecutor(Executor):
 
     # -- submission hook ---------------------------------------------------
 
-    def _submit(self, pool: ProcessPoolExecutor, fn: Callable[[Any], Any],
-                item: Any, index: int, attempt: int) -> Future:
-        """Submit one task; ``ChaosExecutor`` overrides this to inject
-        planned faults for ``(index, attempt)``."""
-        return pool.submit(fn, item)
+    def _wrapper_for(self, index: int,
+                     attempt: int) -> Optional[TaskWrapper]:
+        """Worker-side wrapper around the installed task for one dispatch;
+        ``ChaosExecutor`` overrides this to inject planned faults for
+        ``(index, attempt)``."""
+        return None
 
     # -- pool lifecycle ----------------------------------------------------
 
-    def _new_pool(self, workers: int) -> ProcessPoolExecutor:
-        pool = ProcessPoolExecutor(max_workers=workers)
+    def _new_pool(self, workers: int, fn: Callable[[Any], Any],
+                  tasks: int) -> Tuple[ProcessPoolExecutor, Any]:
+        """A pool with ``fn`` installed in every worker, and its flags.
+
+        The pool keeps its platform start method: under fork the
+        initializer's arguments are inherited, so ``fn`` is not pickled
+        per worker.  Each pool gets fresh flags, so a worker of a killed
+        pool can never mark a task of its successor.
+        """
+        flags = multiprocessing.RawArray("b", tasks)
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_install,
+                                   initargs=(fn, flags))
         self._live_workers.set(workers)
-        return pool
+        return pool, flags
 
     def _kill_pool(self, pool: ProcessPoolExecutor) -> None:
         """Tear a pool down without waiting — hung workers included.
@@ -241,40 +320,59 @@ class SupervisedExecutor(Executor):
             pass
         self._live_workers.set(0)
 
-    def _rebuild_pool(self, workers: int,
-                      report: SupervisionReport) -> ProcessPoolExecutor:
+    def _rebuild_pool(self, workers: int, fn: Callable[[Any], Any],
+                      tasks: int, report: SupervisionReport,
+                      ) -> Tuple[ProcessPoolExecutor, Any]:
         report.pool_rebuilds += 1
         self.supervision_totals.pool_rebuilds += 1
         self._pool_rebuilds.inc()
         self.runlog.emit("pool_rebuild", workers=workers)
-        return self._new_pool(workers)
+        return self._new_pool(workers, fn, tasks)
+
+    def _arm_deadlines(self, inflight: Dict[Future, _InFlight],
+                       workers: int) -> None:
+        """Start the hang clock of tasks that joined the started cohort.
+
+        Workers take tasks in submission order, so the ``workers`` oldest
+        in-flight tasks are the ones running; a queued task's clock
+        starts only once it moves up into that cohort.
+        """
+        if self.task_timeout_s is None:
+            return
+        # Host watchdog, not sim time: the budget guards the machine, so
+        # it must read a real clock.
+        now = time.monotonic()  # simlint: disable=DET001 -- host-level watchdog deadline
+        for slot in islice(inflight.values(), workers):
+            if slot.deadline is None:
+                slot.deadline = now + self.task_timeout_s
 
     # -- fault accounting --------------------------------------------------
 
-    def _record_fault(self, index: int, attempts: List[int], kind: str,
-                      error: str,
-                      report: SupervisionReport) -> Optional[QuarantinedTask]:
+    def _fault(self, index: int, attempts: List[int], queue: Deque[int],
+               kind: str, error: str,
+               report: SupervisionReport) -> Iterator[Tuple[int, Any]]:
         """Count one faulted dispatch; quarantine when the budget is spent.
 
-        Returns the :class:`QuarantinedTask` to yield, or ``None`` when
-        the task has retries left (caller re-queues it).
+        A task with retries left goes to the back of ``queue``; a task
+        whose budget is spent yields its :class:`QuarantinedTask`.
         """
         attempts[index] += 1
-        if attempts[index] > self.max_task_retries:
-            quarantined = QuarantinedTask(index=index, kind=kind,
-                                          attempts=attempts[index],
-                                          error=error)
-            report.quarantined.append(quarantined)
-            self.supervision_totals.quarantined.append(quarantined)
-            self._quarantined.inc()
-            self.runlog.emit("quarantine", index=index, kind=kind,
-                             attempts=attempts[index], error=error)
-            return quarantined
-        report.task_retries += 1
-        self.supervision_totals.task_retries += 1
-        self._task_retries.inc()
-        self.runlog.emit("task_retry", index=index, kind=kind, error=error)
-        return None
+        if attempts[index] <= self.max_task_retries:
+            report.task_retries += 1
+            self.supervision_totals.task_retries += 1
+            self._task_retries.inc()
+            self.runlog.emit("task_retry", index=index, kind=kind,
+                             error=error)
+            queue.append(index)
+            return
+        quarantined = QuarantinedTask(index=index, kind=kind,
+                                      attempts=attempts[index], error=error)
+        report.quarantined.append(quarantined)
+        self.supervision_totals.quarantined.append(quarantined)
+        self._quarantined.inc()
+        self.runlog.emit("quarantine", index=index, kind=kind,
+                         attempts=attempts[index], error=error)
+        yield index, quarantined
 
     # -- signal plumbing ---------------------------------------------------
 
@@ -317,26 +415,29 @@ class SupervisedExecutor(Executor):
     def _supervise(self, fn: Callable[[Any], Any], work: list,
                    report: SupervisionReport) -> Iterator[Tuple[int, Any]]:
         workers = min(self.jobs, len(work))
+        window = _WINDOW_PER_WORKER * workers
         queue: Deque[int] = deque(range(len(work)))
         attempts: List[int] = [0] * len(work)
+        # Insertion order is submission order, so the first ``workers``
+        # entries are the started cohort.
         inflight: Dict[Future, _InFlight] = {}
         previous_handlers = self._install_handlers()
-        pool = self._new_pool(workers)
+        pool, flags = self._new_pool(workers, fn, len(work))
         try:
             while queue or inflight:
                 if self._signals_seen:
-                    yield from self._drain(inflight)
+                    yield from self._drain(inflight, workers)
                     raise KeyboardInterrupt(
                         "sweep interrupted: in-flight results drained; "
                         "rerun with --resume to continue"
                     )
                 broken = False
-                # Fill the dispatch window (one in-flight task per worker).
-                while queue and len(inflight) < workers and not broken:
+                while queue and len(inflight) < window:
                     index = queue.popleft()
                     try:
-                        future = self._submit(pool, fn, work[index], index,
-                                              attempts[index])
+                        future = pool.submit(
+                            _dispatch, index, work[index],
+                            self._wrapper_for(index, attempts[index]))
                     except Exception:
                         # Submitting on a dead pool (BrokenProcessPool /
                         # RuntimeError): the item itself never dispatched,
@@ -344,67 +445,61 @@ class SupervisedExecutor(Executor):
                         queue.appendleft(index)
                         broken = True
                         break
-                    deadline = (
-                        None if self.task_timeout_s is None
-                        # Host watchdog, not sim time: the budget guards the
-                        # machine, so it must read a real clock.
-                        else time.monotonic() + self.task_timeout_s  # simlint: disable=DET001 -- host-level watchdog deadline
-                    )
-                    inflight[future] = _InFlight(index=index,
-                                                 deadline=deadline)
+                    inflight[future] = _InFlight(index=index)
                     self.runlog.emit("task_dispatch", index=index,
                                      attempt=attempts[index])
+                self._arm_deadlines(inflight, workers)
                 if not broken and inflight:
                     done, _ = wait(set(inflight),
                                    timeout=self.poll_interval_s)
                     for future in done:
+                        tag, payload = _settle(future)
+                        if tag == "pool":
+                            broken = True  # settled with the cohort below
+                            continue
                         slot = inflight.pop(future)
+                        if tag == "ok":
+                            self.runlog.emit("task_complete",
+                                             index=slot.index)
+                            yield slot.index, payload
+                        else:
+                            yield from self._fault(
+                                slot.index, attempts, queue, TASK_ERROR,
+                                payload, report)
+                if broken:
+                    # The pool died.  Finished tasks keep their results;
+                    # each task the break interrupted pays one fault (the
+                    # culprit is among them but unattributable).  When no
+                    # task was running (the break hit between tasks or in
+                    # transit), the started cohort pays.  The rest never
+                    # ran or already returned: they go back to the front
+                    # of the queue uncharged.
+                    lost: List[int] = []
+                    for future, slot in inflight.items():
                         tag, payload = _settle(future)
                         if tag == "ok":
                             self.runlog.emit("task_complete",
                                              index=slot.index)
                             yield slot.index, payload
                         elif tag == "error":
-                            quarantined = self._record_fault(
-                                slot.index, attempts, TASK_ERROR, payload,
-                                report)
-                            if quarantined is not None:
-                                yield slot.index, quarantined
-                            else:
-                                queue.append(slot.index)
-                        else:  # pool failure
-                            broken = True
-                            quarantined = self._record_fault(
-                                slot.index, attempts, WORKER_CRASH, payload,
-                                report)
-                            if quarantined is not None:
-                                yield slot.index, quarantined
-                            else:
-                                queue.append(slot.index)
-                if broken:
-                    # The pool died. Completed cohort members keep their
-                    # results; everything else re-dispatches against a
-                    # fresh pool with one fault charged (the culprit is
-                    # unattributable, so the whole cohort pays — the
-                    # one-per-worker window bounds the collateral).
-                    for future, slot in sorted(inflight.items(),
-                                               key=lambda kv: kv[1].index):
-                        tag, payload = _settle(future)
-                        if tag == "ok":
-                            self.runlog.emit("task_complete",
-                                             index=slot.index)
-                            yield slot.index, payload
-                            continue
-                        kind = TASK_ERROR if tag == "error" else WORKER_CRASH
-                        quarantined = self._record_fault(
-                            slot.index, attempts, kind, payload, report)
-                        if quarantined is not None:
-                            yield slot.index, quarantined
+                            yield from self._fault(
+                                slot.index, attempts, queue, TASK_ERROR,
+                                payload, report)
                         else:
-                            queue.append(slot.index)
+                            lost.append(slot.index)
                     inflight.clear()
                     self._kill_pool(pool)
-                    pool = self._rebuild_pool(workers, report)
+                    charged = ([index for index in lost
+                                if flags[index] == _RUNNING]
+                               or lost[:workers])
+                    queue.extendleft(reversed(
+                        [index for index in lost if index not in charged]))
+                    pool, flags = self._rebuild_pool(workers, fn, len(work),
+                                                     report)
+                    for index in charged:
+                        yield from self._fault(index, attempts, queue,
+                                               WORKER_CRASH, _POOL_BROKEN,
+                                               report)
                     continue
                 if self.task_timeout_s is not None and inflight:
                     now = time.monotonic()  # simlint: disable=DET001 -- host-level watchdog clock
@@ -424,41 +519,41 @@ class SupervisedExecutor(Executor):
                                          survivors=survivors)
                         inflight.clear()
                         self._kill_pool(pool)
-                        pool = self._rebuild_pool(workers, report)
+                        pool, flags = self._rebuild_pool(workers, fn,
+                                                         len(work), report)
                         queue.extendleft(reversed(survivors))
                         for index in hung:
-                            quarantined = self._record_fault(
-                                index, attempts, TASK_HANG,
+                            yield from self._fault(
+                                index, attempts, queue, TASK_HANG,
                                 f"exceeded the {self.task_timeout_s:g}s "
                                 f"task timeout",
                                 report)
-                            if quarantined is not None:
-                                yield index, quarantined
-                            else:
-                                queue.append(index)
         finally:
             self._restore_handlers(previous_handlers)
             self._kill_pool(pool)
 
-    def _drain(self, inflight: Dict[Future, _InFlight],
+    def _drain(self, inflight: Dict[Future, _InFlight], workers: int,
                ) -> Iterator[Tuple[int, Any]]:
-        """Collect what the workers already have before shutting down.
+        """Collect what the started cohort is finishing before shutdown.
 
-        Yields every in-flight result that completes within
-        ``drain_grace_s`` so the consumer can journal it; faults during
-        the drain are simply dropped — the trial reruns on ``--resume``.
-        A second signal aborts the drain immediately.
+        Waits only for the ``workers`` oldest in-flight tasks, the ones
+        already running, and yields every result that completes within
+        ``drain_grace_s`` so the consumer can journal it.  Queued tasks
+        are dropped, and faults during the drain are simply dropped too:
+        those trials rerun on ``--resume``.  A second signal aborts the
+        drain immediately.
         """
-        self.runlog.emit("signal_drain", inflight=len(inflight))
+        cohort = dict(islice(inflight.items(), workers))
+        self.runlog.emit("signal_drain", inflight=len(cohort))
         deadline = time.monotonic() + self.drain_grace_s  # simlint: disable=DET001 -- host-level drain deadline
-        while inflight and self._signals_seen < 2:
+        while cohort and self._signals_seen < 2:
             remaining = deadline - time.monotonic()  # simlint: disable=DET001 -- host-level drain deadline
             if remaining <= 0:
                 break
-            done, _ = wait(set(inflight),
+            done, _ = wait(set(cohort),
                            timeout=min(self.poll_interval_s, remaining))
             for future in done:
-                slot = inflight.pop(future)
+                slot = cohort.pop(future)
                 tag, payload = _settle(future)
                 if tag == "ok":
                     yield slot.index, payload
@@ -471,10 +566,10 @@ def _settle(future: Future) -> Tuple[str, Any]:
     try:
         result = future.result(timeout=0)
     except _POOL_FAILURES:
-        return "pool", "worker process died; process pool broken"
+        return "pool", _POOL_BROKEN
     except FutureTimeoutError:
         # Not done: its pool broke under it before it could run.
-        return "pool", "worker process died; process pool broken"
+        return "pool", _POOL_BROKEN
     except Exception as error:  # noqa: BLE001 - taxonomy boundary
         return "error", f"{type(error).__name__}: {error}"
     return "ok", result

@@ -132,10 +132,11 @@ class _SessionTask:
     """Picklable unit of work: sample session ``index`` and simulate it.
 
     Carries the runner whole, like :class:`~repro.core.experiments.
-    _TrialTask`: pickling it ships only configuration and the page
-    corpus (the runlog reduces to the null object, executors carry no
-    live pool state), and the worker re-derives everything else from
-    the session index.
+    _TrialTask`: the task holds only configuration and the page corpus
+    (the runlog reduces to the null object, executors carry no live pool
+    state), and the worker re-derives everything else from the session
+    index.  A supervised pool installs the task in each worker once, so
+    the corpus is not re-sent with every session.
     """
 
     runner: "FleetRunner"
@@ -178,11 +179,17 @@ class FleetReport:
 
     def quantile(self, workload: str, metric: str, q: float,
                  tier: str = ALL_TIER) -> float:
-        """Bucket-resolution quantile of one tier's metric distribution."""
+        """Bucket-resolution quantile of one tier's metric distribution.
+
+        The ``le`` bucket bound is clamped to the tier's observed
+        ``[min, max]``: a bound past the largest observation, or the
+        ``+Inf`` overflow bucket, would claim a value no session had.
+        """
         entry = self.series(workload, metric).get(tier)
         if entry is None:
             return 0.0
-        return histogram_quantile(entry["hist"], q)
+        bound = histogram_quantile(entry["hist"], q)
+        return min(max(bound, entry["min"]), entry["max"])
 
     def cdf(self, workload: str, metric: str,
             tier: str = ALL_TIER) -> List[Tuple[float, float]]:

@@ -5,16 +5,15 @@ snapshot — so the renderers are pure functions of the aggregate and
 inherit its determinism: for a fixed cache state, the same seed renders
 the same bytes at any worker count.
 
-Quantiles come from :func:`repro.obs.export.histogram_quantile` (bucket
-resolution); a quantile that lands in the ``+Inf`` overflow bucket
-renders as ``>B`` where ``B`` is the last finite bucket bound.  The HTML
+Quantiles are bucket upper bounds clamped to the tier's observed
+``[min, max]`` (:meth:`FleetReport.quantile`), so a reported quantile
+never lies outside the values the sessions produced.  The HTML
 document reuses :func:`repro.obs.report.html_page`, so fleet reports
 look and ship like run reports.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List
 
 from repro.analysis import render_table
@@ -27,12 +26,6 @@ QUANTILES = (0.5, 0.9, 0.99)
 
 _TIER_HEADERS = ["tier", "n", "mean", "stdev", "min", "max",
                  "p50<=", "p90<=", "p99<="]
-
-
-def _fmt_quantile(value: float, last_bound: float) -> str:
-    if math.isinf(value):
-        return f">{last_bound:g}"
-    return f"{value:g}"
 
 
 def _tier_order(report: FleetReport, entries: Dict[str, dict]) -> List[str]:
@@ -54,15 +47,8 @@ def _metric_rows(report: FleetReport, workload: str,
             rows.append([tier, "0", "n/a", "n/a", "n/a", "n/a",
                          "n/a", "n/a", "n/a"])
             continue
-        last_bound = max(
-            float(label) for label in entry["hist"]["buckets"]
-            if label != "+Inf"
-        )
-        quantiles = [
-            _fmt_quantile(report.quantile(workload, metric, q, tier),
-                          last_bound)
-            for q in QUANTILES
-        ]
+        quantiles = [f"{report.quantile(workload, metric, q, tier):.3f}"
+                     for q in QUANTILES]
         rows.append([
             tier, str(n), f"{entry['mean']:.3f}", f"{entry['stdev']:.3f}",
             f"{entry['min']:.3f}", f"{entry['max']:.3f}", *quantiles,

@@ -81,6 +81,18 @@ def test_check_fails_beyond_tolerance(tmp_path):
     assert "REGRESSION" in check.message
 
 
+def test_rate_series_are_higher_is_better(tmp_path):
+    store = PerfStore(tmp_path / "BENCH_obs.json")
+    for value in (10.0, 8.5, 12.0):
+        store.append("bench.per_s", value, unit="1/s")
+    check = store.check("bench.per_s", tolerance=0.25)
+    assert check.ok and check.baseline == 10.0
+    store.append("bench.per_s", 9.0, unit="1/s")  # 12/9 = 1.33x slower
+    check = store.check("bench.per_s", tolerance=0.25)
+    assert not check.ok and check.baseline == 12.0
+    assert "REGRESSION" in check.message
+
+
 def test_check_is_vacuous_with_fewer_than_two_entries(tmp_path):
     empty = PerfStore(tmp_path / "missing.json")
     assert empty.check("bench.wall_s").ok

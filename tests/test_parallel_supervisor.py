@@ -62,6 +62,30 @@ def seeded_value(seed: int) -> float:
     return make_rng(seed).uniform(1.0, 2.0)
 
 
+def slow_square(x: int) -> int:
+    time.sleep(0.05)
+    return x * x
+
+
+def sleepy_square(x: int) -> int:
+    """Takes 0.6 s: 0.6x the 1 s budget of the hang-clock test."""
+    time.sleep(0.6)
+    return x * x
+
+
+class CountingSquare:
+    """Picklable task that counts how often this process pickles it."""
+
+    pickles = 0
+
+    def __reduce__(self):
+        CountingSquare.pickles += 1
+        return (CountingSquare, ())
+
+    def __call__(self, x: int) -> int:
+        return x * x
+
+
 def poison_plan(index: int, kind: str, attempts: int = 10,
                 hang_s: float = 60.0) -> ChaosPlan:
     """A plan that faults ``index`` on every dispatch — unrecoverable."""
@@ -86,6 +110,21 @@ def test_supervised_always_uses_the_pool():
     # smallest run crosses the process boundary (and therefore requires a
     # picklable task, unlike MultiprocessExecutor's single-item path).
     assert SupervisedExecutor(4, **FAST).map(square, [7]) == [49]
+
+
+def test_task_is_pickled_per_run_not_per_item():
+    # The pool's initializer installs the task once per worker; dispatches
+    # carry only the item, so the parent's pickling count cannot grow
+    # with the number of items.
+    counts = []
+    for n in (4, 24):
+        CountingSquare.pickles = 0
+        executor = SupervisedExecutor(2, **FAST)
+        assert executor.map(CountingSquare(), range(n)) == [
+            x * x for x in range(n)]
+        assert executor.last_supervision.clean
+        counts.append(CountingSquare.pickles)
+    assert counts[0] == counts[1]
 
 
 def test_supervisor_constructor_validation():
@@ -126,7 +165,34 @@ def test_completed_cohort_results_survive_a_pool_break():
     assert executor.last_supervision.quarantined == []
 
 
+def test_pool_break_charges_at_most_one_task_per_worker():
+    # Two tasks per worker are in flight, but only tasks a worker was
+    # running can be charged for a crash: the queued ones never ran.
+    plan = ChaosPlan(faults=(ChaosFault(index=0, kind=CHAOS_CRASH),))
+    executor = ChaosExecutor(2, plan, **FAST)
+    items = list(range(12))
+    assert executor.map(slow_square, items) == SerialExecutor().map(
+        slow_square, items)
+    report = executor.last_supervision
+    assert report.pool_rebuilds == 1
+    assert 1 <= report.task_retries <= 2
+    assert report.quarantined == []
+
+
 # -- hang timeout -----------------------------------------------------------
+
+def test_hang_clock_starts_when_a_task_starts_not_when_it_queues():
+    # Each task takes 0.6x the budget.  A task queued behind a running one
+    # waits about that long before it starts, so a clock started at
+    # submission would reclaim it as hung.
+    executor = SupervisedExecutor(2, task_timeout_s=1.0, **FAST)
+    items = list(range(6))
+    assert executor.map(sleepy_square, items) == [x * x for x in items]
+    report = executor.last_supervision
+    assert report.task_retries == 0
+    assert report.quarantined == []
+    assert report.pool_rebuilds == 0
+
 
 def test_hung_task_is_cancelled_and_reassigned():
     plan = ChaosPlan(faults=(ChaosFault(index=2, kind=CHAOS_HANG,

@@ -37,6 +37,7 @@ from repro.population import (
     ALL_TIER,
     DEFAULT_WORKLOAD_MIX,
     FleetAggregator,
+    FleetReport,
     FleetRunner,
     METRIC_BUCKETS,
     PopulationConfig,
@@ -46,6 +47,7 @@ from repro.population import (
     WORKLOADS,
     default_market,
 )
+from repro.population.report import QUANTILES, render_text
 
 finite = st.floats(min_value=0.0, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -395,6 +397,30 @@ def test_report_quantiles_and_cdf_read_the_histograms():
             p50 = report.quantile(workload, metric, 0.5)
             p99 = report.quantile(workload, metric, 0.99)
             assert p50 <= p99
+            for tier, tier_entry in report.series(workload, metric).items():
+                for q in QUANTILES:
+                    value = report.quantile(workload, metric, q, tier)
+                    assert tier_entry["min"] <= value <= tier_entry["max"]
+
+
+def test_reported_quantiles_stay_within_the_observed_range():
+    # Values past the last bucket bound land in ``+Inf``, and a top value
+    # just past a bound reads as the next bound up: neither may leak out
+    # as a quantile beyond what the sessions produced.
+    aggregator = FleetAggregator()
+    observe_values(aggregator, [0.3, 0.7, 1.2, 95.0], tier="legacy")
+    observe_values(aggregator, [2.01, 2.02, 2.03], tier="mid")
+    report = FleetReport(config=small_config(),
+                         aggregate=aggregator.snapshot())
+    for tier in ("legacy", "mid", ALL_TIER):
+        entry = report.series("web", "plt_s")[tier]
+        for q in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
+            value = report.quantile("web", "plt_s", q, tier)
+            assert entry["min"] <= value <= entry["max"]
+    assert report.quantile("web", "plt_s", 0.99, "legacy") == 95.0
+    assert report.quantile("web", "plt_s", 0.5, "mid") == 2.03
+    text = render_text(report)
+    assert "inf" not in text and ">" not in text
 
 
 def test_histogram_cdf_matches_empirical_cdf_at_bucket_bounds():
