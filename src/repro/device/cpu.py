@@ -78,22 +78,18 @@ class Cluster:
         self.spec = spec
         self.online_cores = online_cores
         self._freq_index = len(spec.freqs_mhz) - 1
+        self._rate_hz = self.freq_hz * spec.ipc
         self._requested_index = self._freq_index
         self._thermal_cap_index: Optional[int] = None
         self._busy = 0  # number of cores currently executing a task
         self._busy_time = 0.0  # integrated core-busy seconds
         self._last_change = env.now
+        # Offline cores are modelled by shrinking the pool capacity.
         self.pool = Resource(env, capacity=max(online_cores, 1))
         self._observers: list[Callable[["Cluster"], None]] = []
         self._tracer = tracer_of(env)
         self._m_transitions = metrics_of(env).counter(
             "device.dvfs.transitions")
-        if online_cores > 0:
-            self._reserve_offline(spec.n_cores - online_cores)
-
-    def _reserve_offline(self, count: int) -> None:
-        # Offline cores are modelled by shrinking the pool capacity.
-        self.pool.capacity = self.online_cores
 
     def add_observer(self, callback: Callable[["Cluster"], None]) -> None:
         """Register a callback invoked on every busy/frequency transition."""
@@ -124,7 +120,7 @@ class Cluster:
     @property
     def rate_hz(self) -> float:
         """Effective instruction rate of one core (freq × IPC)."""
-        return self.freq_hz * self.spec.ipc
+        return self._rate_hz
 
     @property
     def thermal_cap_index(self) -> Optional[int]:
@@ -155,6 +151,7 @@ class Cluster:
         if index != self._freq_index:
             self._account()
             self._freq_index = index
+            self._rate_hz = self.freq_hz * self.spec.ipc
             self._m_transitions.inc()
             self._tracer.instant(
                 "device.dvfs.step", "device",
@@ -177,7 +174,9 @@ class Cluster:
 
     def mark_busy(self, delta: int) -> None:
         """Adjust the busy-core count (called by the task executor)."""
-        self._account()
+        now = self.env.now
+        self._busy_time += self._busy * (now - self._last_change)
+        self._last_change = now
         self._busy += delta
         if self._busy < 0:
             raise RuntimeError("busy core count went negative")
@@ -252,6 +251,7 @@ class CPU:
             remaining -= take
         for spec, count in zip(specs, reversed(counts)):
             self.clusters.append(Cluster(env, spec, count))
+        self._online = [c for c in self.clusters if c.online_cores > 0]
         self._cycle_multiplier = 1.0
         self._tracer = tracer_of(env)
 
@@ -309,12 +309,22 @@ class CPU:
 
         Prefer the fastest cluster with an idle core; fall back to the
         fastest cluster overall (its FIFO queue) when everything is busy.
+        Ties go to the earlier (littler) cluster in both cases.
         """
-        candidates = [c for c in self.clusters if c.online_cores > 0]
-        for cluster in sorted(candidates, key=lambda c: -c.rate_hz):
-            if cluster.pool.count < cluster.pool.capacity:
-                return cluster
-        return max(candidates, key=lambda c: c.rate_hz)
+        online = self._online
+        if len(online) == 1:
+            return online[0]
+        idle: Optional[Cluster] = None
+        fastest = online[0]
+        for cluster in online:
+            rate = cluster._rate_hz
+            if rate > fastest._rate_hz:
+                fastest = cluster
+            pool = cluster.pool
+            if (len(pool.users) < pool.capacity
+                    and (idle is None or rate > idle._rate_hz)):
+                idle = cluster
+        return idle if idle is not None else fastest
 
     def submit(self, cycles: float, mem_stall: float = 0.0) -> CpuTask:
         """Run ``cycles`` of work; returns a handle whose ``done`` fires.
@@ -350,7 +360,7 @@ class CPU:
                     try:
                         while (remaining >= self._MIN_CYCLES
                                or stall_left >= self._MIN_STALL):
-                            rate = cluster.rate_hz
+                            rate = cluster._rate_hz
                             compute_left = remaining / rate
                             slice_time = min(self.quantum,
                                              compute_left + stall_left)

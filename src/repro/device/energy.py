@@ -9,6 +9,14 @@ The meter observes cluster busy/frequency transitions (via
 ``Cluster.add_observer``) and integrates energy exactly between transitions,
 so samples never miss short bursts.
 
+The ladder is discrete, so the meter tabulates one busy core's power per
+(cluster, ladder step) at construction, each entry computed by
+:meth:`PowerSpec.dynamic_power` exactly as a per-transition evaluation
+would.  It holds each cluster's draw (busy cores × table entry + online
+cores × static power); a transition recomputes only the cluster that
+changed and re-sums the held draws in cluster order, so every float
+matches a from-scratch evaluation bit for bit.
+
 The DSP draws a flat active power (a Hexagon-class aDSP runs a fixed
 clock domain); the CPU-vs-DSP *median power ratio of ~4×* in the paper's
 Fig 7b follows from these constants.
@@ -52,9 +60,9 @@ class PowerSpec:
 class EnergyMeter:
     """Integrates CPU energy over a simulation run.
 
-    Attach one meter per device; it subscribes to every cluster and keeps a
-    per-cluster running integral.  ``power_now`` exposes the instantaneous
-    draw for power-trace experiments (Fig 7b).
+    Attach one meter per device; it subscribes to every cluster, holds each
+    cluster's draw, and keeps one running integral.  ``power_now`` exposes
+    the instantaneous draw for power-trace experiments (Fig 7b).
     """
 
     def __init__(self, env: Environment, cpu: CPU, power: PowerSpec):
@@ -63,31 +71,37 @@ class EnergyMeter:
         self.power = power
         self._energy_j = 0.0
         self._last = env.now
-        self._held_power = self._compute_power()
+        #: One busy core's power per ladder step, keyed by cluster.
+        self._table: dict[Cluster, tuple[float, ...]] = {}
+        #: Each cluster's draw since its last transition, in cluster order.
+        self._held: dict[Cluster, float] = {}
+        for cluster in cpu.clusters:
+            spec = cluster.spec
+            self._table[cluster] = tuple(
+                power.dynamic_power(mhz, spec.min_mhz, spec.max_mhz)
+                for mhz in spec.freqs_mhz)
+            self._held[cluster] = self._cluster_power(cluster)
+        self._held_power = sum(self._held.values())
         for cluster in cpu.clusters:
             cluster.add_observer(self._on_transition)
 
     def _cluster_power(self, cluster: Cluster) -> float:
-        spec = cluster.spec
-        active = self.power.dynamic_power(cluster.freq_mhz, spec.min_mhz, spec.max_mhz)
-        return (
-            cluster.busy_cores * active
-            + cluster.online_cores * self.power.static_w
-        )
-
-    def _compute_power(self) -> float:
-        return sum(self._cluster_power(cluster) for cluster in self.cpu.clusters)
+        active = self._table[cluster][cluster.freq_index]
+        return (cluster.busy_cores * active
+                + cluster.online_cores * self.power.static_w)
 
     @property
     def power_now(self) -> float:
         """Instantaneous CPU power draw in watts."""
-        return self._compute_power()
+        return self._held_power
 
     def _on_transition(self, cluster: Cluster) -> None:
         # The observer fires *after* a state change; the interval since the
         # previous transition ran at the power level held before it.
         self._integrate()
-        self._held_power = self._compute_power()
+        held = self._held
+        held[cluster] = self._cluster_power(cluster)
+        self._held_power = sum(held.values())
 
     def _integrate(self) -> None:
         now = self.env.now

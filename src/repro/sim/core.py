@@ -9,11 +9,20 @@ that event fires.
 Determinism: ties in time are broken first by an explicit priority, then by a
 monotonically increasing sequence number, so two runs of the same program
 produce identical schedules.
+
+Two invariants hold for every event, and per-layer event accounting relies
+on them (it wraps ``schedule`` to count events by the module that scheduled
+them, and recognises process resumption by the ``step`` frame):
+
+* every event enters the queue through :meth:`Environment.schedule` —
+  fast paths may skip ``Event.__init__``, never ``schedule``;
+* every dispatch runs inside :meth:`Environment.step` — ``run`` loops call
+  it and never inline its body.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 #: Default priority for ordinary events.
@@ -151,10 +160,13 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ inlined: a timeout is the most frequent event.
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self._scheduled = False
+        self.delay = delay
         env.schedule(self, delay=delay)
 
     def __repr__(self) -> str:
@@ -274,14 +286,14 @@ class Process(Event):
                 break
 
             if not isinstance(next_event, Event):
-                self._generator.throw(
-                    SimulationError(f"process yielded non-event {next_event!r}")
-                )
+                # Thrown back in at the top of the loop, inside the ``try``,
+                # so a process that does not catch it fails like any crash.
+                event = _failure(self.env, SimulationError(
+                    f"process yielded non-event {next_event!r}"))
                 continue
             if next_event.env is not self.env:
-                self._generator.throw(
-                    SimulationError("yielded event belongs to another environment")
-                )
+                event = _failure(self.env, SimulationError(
+                    "yielded event belongs to another environment"))
                 continue
             if next_event.callbacks is None:
                 # Already processed: resume immediately with its outcome.
@@ -291,6 +303,14 @@ class Process(Event):
             self._target = next_event
             break
         self.env._active_process = None
+
+
+def _failure(env: "Environment", error: BaseException) -> Event:
+    """An unscheduled failed event, to throw ``error`` into a process."""
+    event = Event(env)
+    event._ok = False
+    event._value = error
+    return event
 
 
 class ConditionEvent(Event):
@@ -454,7 +474,7 @@ class Environment:
     ) -> None:
         """Place ``event`` on the event list ``delay`` time units from now."""
         event._scheduled = True
-        heapq.heappush(
+        heappush(
             self._queue, (self._now + delay, priority, self._sequence, event)
         )
         self._sequence += 1
@@ -487,7 +507,7 @@ class Environment:
         """Process the single next event."""
         if not self._queue:
             raise SimulationError("no more events")
-        self._now, _, _, event = heapq.heappop(self._queue)
+        self._now, _, _, event = heappop(self._queue)
         self._steps_total += 1
         if self._steps_counter is not None:
             self._steps_counter.inc()
@@ -515,16 +535,19 @@ class Environment:
         steps = 0
         if isinstance(until, Event):
             stop = until
-            while not stop.processed:
-                if not self._queue:
+            queue = self._queue
+            step = self.step
+            budget = float("inf") if max_steps is None else max_steps
+            while stop.callbacks is not None:  # not yet processed
+                if not queue:
                     raise self._deadlock("the awaited event")
-                if max_steps is not None and steps >= max_steps:
+                if steps >= budget:
                     raise StepBudgetExceeded(
                         f"step budget of {max_steps} events exhausted at "
                         f"t={self._now:.6f} before the awaited event fired",
                         now=self._now, steps=steps,
                     )
-                self.step()
+                step()
                 steps += 1
             if stop._ok:
                 return stop._value

@@ -25,7 +25,13 @@ class Request(Event):
     """A pending claim on a :class:`Resource` slot."""
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        # Event.__init__ inlined: the CPU model requests a core for every
+        # task and every round-robin requeue.
+        self.env = resource.env
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self._scheduled = False
         self.resource = resource
         resource._request(self)
 

@@ -157,3 +157,37 @@ def test_offline_cores_prefer_keeping_big_cluster():
     device = Device(env, PIXEL2, online_cores=2, governor="PF")
     rates = [c.rate_hz for c in device.cpu.clusters if c.online_cores > 0]
     assert max(rates) == pytest.approx(2457e6 * 2.20)
+
+
+def test_pick_cluster_prefers_fastest_idle_and_breaks_ties_by_order():
+    env = Environment()
+    ladder = (300, 600, 900)
+    cpu = CPU(env, [ClusterSpec("a", 1, ladder), ClusterSpec("b", 1, ladder),
+                    ClusterSpec("c", 1, ladder, ipc=0.5)])
+    a, b, c = cpu.clusters
+    assert cpu._pick_cluster() is a  # equal rates: the earlier cluster
+    hold_a = a.pool.request()
+    assert cpu._pick_cluster() is b
+    hold_b = b.pool.request()
+    assert cpu._pick_cluster() is c  # slower, but it has an idle core
+    hold_c = c.pool.request()
+    assert cpu._pick_cluster() is a  # all busy: the fastest cluster's queue
+    b.set_freq_index(2)
+    a.set_freq_index(1)
+    assert cpu._pick_cluster() is b  # now strictly the fastest
+    for hold in (hold_a, hold_b, hold_c):
+        hold.cancel()
+    assert cpu._pick_cluster() is b
+
+
+def test_rate_tracks_every_frequency_change():
+    env = Environment()
+    cpu = CPU(env, [ClusterSpec("c", 1, (300, 600, 900), ipc=1.5)])
+    cluster = cpu.clusters[0]
+    for index in (0, 2, 1):
+        cluster.set_freq_index(index)
+        assert cluster.rate_hz == cluster.freq_hz * cluster.spec.ipc
+    cluster.set_thermal_cap_index(0)
+    assert cluster.rate_hz == 300e6 * 1.5
+    cluster.set_thermal_cap_index(None)
+    assert cluster.rate_hz == 600e6 * 1.5

@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.device import Device, NEXUS4, PIXEL2, PowerSpec
+from repro.device import (
+    CPU,
+    Device,
+    EnergyMeter,
+    NEXUS4,
+    PIXEL2,
+    PowerSpec,
+    TABLE1_DEVICES,
+)
 from repro.device.energy import DspPowerSpec
+from repro.population.market import legacy_tier_devices
 from repro.sim import Environment
 
 
@@ -82,3 +91,77 @@ def test_dsp_power_spec_defaults():
     spec = DspPowerSpec()
     assert spec.active_w < 0.5
     assert spec.idle_w < spec.active_w
+
+
+@pytest.mark.parametrize("spec", TABLE1_DEVICES + legacy_tier_devices(),
+                         ids=lambda spec: spec.name)
+def test_power_table_matches_dynamic_power_at_every_step(spec):
+    env = Environment()
+    device = Device(env, spec, governor="PF")
+    table = device.energy._table
+    assert list(table) == device.cpu.clusters
+    for cluster in device.cpu.clusters:
+        ladder = cluster.spec.freqs_mhz
+        assert len(table[cluster]) == len(ladder)
+        for mhz, entry in zip(ladder, table[cluster]):
+            assert entry == spec.power.dynamic_power(
+                mhz, cluster.spec.min_mhz, cluster.spec.max_mhz)
+
+
+def test_meter_matches_a_reference_integral_bit_for_bit():
+    """Busy ±1 on two clusters, DVFS steps, a thermal cap and its lift."""
+    env = Environment()
+    cpu = CPU(env, PIXEL2.clusters)
+    power = PIXEL2.power
+    meter = EnergyMeter(env, cpu, power)
+    little, big = cpu.clusters
+
+    def reference_power():
+        return sum(
+            cluster.busy_cores * power.dynamic_power(
+                cluster.freq_mhz, cluster.spec.min_mhz, cluster.spec.max_mhz)
+            + cluster.online_cores * power.static_w
+            for cluster in cpu.clusters)
+
+    power_idle = reference_power()
+    reference = {"j": 0.0, "w": power_idle, "t": env.now}
+
+    def reference_energy():
+        if env.now > reference["t"]:
+            reference["j"] += reference["w"] * (env.now - reference["t"])
+        reference["t"] = env.now
+        return reference["j"]
+
+    def integrate(cluster):
+        reference_energy()
+        reference["w"] = reference_power()
+
+    for cluster in cpu.clusters:
+        cluster.add_observer(integrate)
+
+    script = [
+        (0.10, lambda: little.mark_busy(+1)),
+        (0.25, lambda: big.mark_busy(+1)),
+        (0.40, lambda: big.mark_busy(+1)),
+        (0.55, lambda: big.set_freq_index(3)),
+        (0.70, lambda: little.set_freq_index(1)),
+        (0.85, lambda: cpu.set_thermal_cap_fraction(0.5)),
+        (1.00, lambda: big.set_freq_index(len(big.spec.freqs_mhz) - 1)),
+        (1.15, lambda: big.mark_busy(-1)),
+        (1.30, lambda: cpu.set_thermal_cap_fraction(None)),
+        (1.45, lambda: little.mark_busy(-1)),
+        (1.60, lambda: big.mark_busy(-1)),
+    ]
+    capped = None
+    for at, action in script:
+        env.run(until=at)
+        action()
+        if at == 1.00:
+            capped = big.freq_index
+        assert meter.power_now == reference["w"]
+        assert meter.energy_j == reference_energy()
+    env.run(until=2.0)
+    assert meter.energy_j == reference_energy() > 0
+    assert meter.power_now == reference["w"] == power_idle
+    assert capped is not None and capped < len(big.spec.freqs_mhz) - 1
+    assert big.freq_index == len(big.spec.freqs_mhz) - 1

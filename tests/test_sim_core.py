@@ -305,3 +305,61 @@ def test_run_until_event_never_fires_raises():
     gate = env.event()
     with pytest.raises(SimulationError):
         env.run(gate)
+
+
+def test_process_that_catches_a_non_event_yield_keeps_running():
+    """The kernel's error is thrown in; whatever the process yields next counts."""
+    env = Environment()
+    other = Environment()
+    seen = []
+
+    def proc():
+        for bad in (42, other.timeout(1.0)):
+            try:
+                yield bad
+            except SimulationError as error:
+                seen.append(str(error))
+        value = yield env.timeout(1.0, value="fresh")
+        seen.append((env.now, value))
+
+    env.process(proc())
+    env.run()
+    assert seen == [
+        "process yielded non-event 42",
+        "yielded event belongs to another environment",
+        (1.0, "fresh"),
+    ]
+
+
+def test_uncaught_non_event_yield_fails_the_process():
+    env = Environment()
+
+    def bad():
+        yield env.timeout(1.0)  # let the waiter attach first
+        yield "not an event"  # simlint: disable=SIM101 -- the kernel must reject it
+
+    def waiter(proc):
+        try:
+            yield proc
+        except SimulationError as error:
+            return f"saw: {error}"
+
+    proc = env.process(bad())
+    watcher = env.process(waiter(proc))
+    assert env.run(watcher) == "saw: process yielded non-event 'not an event'"
+    assert not proc.is_alive
+    assert not proc.ok
+    assert env.live_process_count == 0
+
+
+def test_unwatched_non_event_yield_surfaces_as_a_crash():
+    env = Environment()
+
+    def bad():
+        yield None
+
+    proc = env.process(bad())
+    with pytest.raises(SimulationError, match="non-event None"):
+        env.run()
+    assert not proc.is_alive
+    assert env.live_process_count == 0
