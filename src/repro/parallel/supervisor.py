@@ -57,7 +57,13 @@ import multiprocessing
 import signal
 import time
 from collections import deque
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    CancelledError,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -176,11 +182,14 @@ def drop_quarantined(results: Sequence[Any]) -> list:
 class _InFlight:
     """Bookkeeping for one submitted future.
 
-    ``deadline`` stays ``None`` until the task joins the started cohort
-    (see :meth:`SupervisedExecutor._arm_deadlines`).
+    ``serial`` numbers submissions within one ``run_tasks`` call.
+    ``started`` and ``deadline`` stay ``None`` until the task joins the
+    started cohort (see :meth:`SupervisedExecutor._arm`).
     """
 
     index: int
+    serial: int
+    started: Optional[float] = None
     deadline: Optional[float] = None
 
 
@@ -201,10 +210,11 @@ class SupervisedExecutor(Executor):
 
     The pool's initializer installs the task callable in each worker
     once (a rebuilt pool re-installs it); a dispatch ships only the item.
-    The dispatch window is two in-flight tasks per worker.  Workers take
-    tasks in submission order, so the ``workers`` oldest in-flight tasks
-    are the *started cohort* and the rest are queued behind them.  Three
-    rules keep supervision honest under the deeper window:
+    The dispatch window is two in-flight tasks per worker, topped up as
+    soon as any task finishes.  Workers take tasks in submission order,
+    so the ``workers`` oldest in-flight tasks are the *started cohort*
+    and the rest are queued behind them.  Four rules keep supervision
+    honest under the deeper window:
 
     * a task's ``task_timeout_s`` clock starts when it joins the started
       cohort, not when it is submitted;
@@ -215,7 +225,11 @@ class SupervisedExecutor(Executor):
       uncharged, so the blast radius stays at most ``max_workers``
       charged tasks;
     * a signal drain waits for the started cohort only; queued tasks are
-      dropped and re-run on ``--resume``.
+      dropped and re-run on ``--resume``;
+    * at most ``window`` submissions run ahead of the oldest unfinished
+      task until it has run for ``poll_interval_s``, and no task is sent
+      to a pool with an exited worker, so a crash is noticed before the
+      surviving workers drain the queue into the broken pool.
 
     ``drain_signals=True`` (the default) registers SIGINT/SIGTERM
     handlers for the duration of the run: the first signal stops new
@@ -329,22 +343,39 @@ class SupervisedExecutor(Executor):
         self.runlog.emit("pool_rebuild", workers=workers)
         return self._new_pool(workers, fn, tasks)
 
-    def _arm_deadlines(self, inflight: Dict[Future, _InFlight],
-                       workers: int) -> None:
-        """Start the hang clock of tasks that joined the started cohort.
+    def _arm(self, inflight: Dict[Future, _InFlight], workers: int) -> None:
+        """Stamp the start, and the hang deadline, of tasks that joined
+        the started cohort.
 
         Workers take tasks in submission order, so the ``workers`` oldest
         in-flight tasks are the ones running; a queued task's clock
         starts only once it moves up into that cohort.
         """
-        if self.task_timeout_s is None:
-            return
         # Host watchdog, not sim time: the budget guards the machine, so
         # it must read a real clock.
         now = time.monotonic()  # simlint: disable=DET001 -- host-level watchdog deadline
         for slot in islice(inflight.values(), workers):
-            if slot.deadline is None:
-                slot.deadline = now + self.task_timeout_s
+            if slot.started is None:
+                slot.started = now
+                if self.task_timeout_s is not None:
+                    slot.deadline = now + self.task_timeout_s
+
+    def _may_run_ahead(self, inflight: Dict[Future, _InFlight], serial: int,
+                       window: int) -> bool:
+        """Whether submission ``serial`` may go out now.
+
+        A worker that dies mid-task looks like a slow one until its
+        process is torn down (milliseconds), and meanwhile its siblings
+        could drain the queue into the doomed pool.  So at most
+        ``window`` submissions run ahead of the oldest unfinished task
+        until that task has run for ``poll_interval_s``.
+        """
+        head = next(iter(inflight.values()), None)
+        if head is None or serial - head.serial <= window:
+            return True
+        return (head.started is not None
+                and time.monotonic() - head.started  # simlint: disable=DET001 -- host-level watchdog clock
+                >= self.poll_interval_s)
 
     # -- fault accounting --------------------------------------------------
 
@@ -421,6 +452,7 @@ class SupervisedExecutor(Executor):
         # Insertion order is submission order, so the first ``workers``
         # entries are the started cohort.
         inflight: Dict[Future, _InFlight] = {}
+        serial = 0
         previous_handlers = self._install_handlers()
         pool, flags = self._new_pool(workers, fn, len(work))
         try:
@@ -431,8 +463,9 @@ class SupervisedExecutor(Executor):
                         "sweep interrupted: in-flight results drained; "
                         "rerun with --resume to continue"
                     )
-                broken = False
-                while queue and len(inflight) < window:
+                broken = _worker_died(pool)
+                while (not broken and queue and len(inflight) < window
+                       and self._may_run_ahead(inflight, serial, window)):
                     index = queue.popleft()
                     try:
                         future = pool.submit(
@@ -445,13 +478,17 @@ class SupervisedExecutor(Executor):
                         queue.appendleft(index)
                         broken = True
                         break
-                    inflight[future] = _InFlight(index=index)
+                    inflight[future] = _InFlight(index=index, serial=serial)
+                    serial += 1
                     self.runlog.emit("task_dispatch", index=index,
                                      attempt=attempts[index])
-                self._arm_deadlines(inflight, workers)
+                self._arm(inflight, workers)
                 if not broken and inflight:
+                    # Back on the first completion: waiting for the whole
+                    # window would idle a worker behind a slower sibling.
                     done, _ = wait(set(inflight),
-                                   timeout=self.poll_interval_s)
+                                   timeout=self.poll_interval_s,
+                                   return_when=FIRST_COMPLETED)
                     for future in done:
                         tag, payload = _settle(future)
                         if tag == "pool":
@@ -551,12 +588,29 @@ class SupervisedExecutor(Executor):
             if remaining <= 0:
                 break
             done, _ = wait(set(cohort),
-                           timeout=min(self.poll_interval_s, remaining))
+                           timeout=min(self.poll_interval_s, remaining),
+                           return_when=FIRST_COMPLETED)
             for future in done:
                 slot = cohort.pop(future)
                 tag, payload = _settle(future)
                 if tag == "ok":
                     yield slot.index, payload
+
+
+def _worker_died(pool: ProcessPoolExecutor) -> bool:
+    """True once a worker of ``pool`` has exited.
+
+    The pool's own manager thread reads a pending result before it looks
+    at dead workers, so while the survivors keep returning results a
+    crash goes unnoticed and the parent keeps feeding the broken pool.
+    Reading the workers' exit codes (private ``_processes``, as in
+    ``_kill_pool``) catches the crash before the next submission.
+    """
+    try:
+        processes = list((getattr(pool, "_processes", None) or {}).values())
+        return any(process.exitcode is not None for process in processes)
+    except Exception:
+        return False
 
 
 def _settle(future: Future) -> Tuple[str, Any]:

@@ -73,6 +73,18 @@ def sleepy_square(x: int) -> int:
     return x * x
 
 
+def gated(item: tuple) -> str:
+    """``("gate", flag)`` returns once ``flag`` exists (at most 20 s);
+    any other item returns at once."""
+    kind, flag = item
+    if kind == "gate":
+        for _ in range(2000):
+            if os.path.exists(flag):
+                break
+            time.sleep(0.01)
+    return kind
+
+
 class CountingSquare:
     """Picklable task that counts how often this process pickles it."""
 
@@ -125,6 +137,25 @@ def test_task_is_pickled_per_run_not_per_item():
         assert executor.last_supervision.clean
         counts.append(CountingSquare.pickles)
     assert counts[0] == counts[1]
+
+
+def test_a_finished_task_is_yielded_without_waiting_for_a_slower_one(
+        tmp_path):
+    # The gated task finishes only after the quick one's result reached
+    # the caller.  A loop that waited for every in-flight task (or the
+    # 30 s poll interval) would hold the quick result until the gate
+    # gave up after 20 s, and a worker would idle all that time.
+    flag = tmp_path / "open"
+    items = [("gate", str(flag)), ("quick", str(flag))]
+    stream = SupervisedExecutor(2, poll_interval_s=30.0).run_tasks(gated,
+                                                                   items)
+    start = time.monotonic()  # simlint: disable=DET001 -- host-side test stopwatch
+    first = next(stream)
+    waited = time.monotonic() - start  # simlint: disable=DET001 -- host-side test stopwatch
+    flag.touch()
+    assert first == (1, "quick")
+    assert list(stream) == [(0, "gate")]
+    assert waited < 10.0
 
 
 def test_supervisor_constructor_validation():
